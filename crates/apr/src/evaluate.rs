@@ -7,7 +7,7 @@
 
 use crate::interaction::InteractionModel;
 use crate::ledger::CostLedger;
-use crate::mutation::Mutation;
+use crate::mutation::{Mutation, RepairCheck, SafetyCheck};
 use crate::suite::TestSuite;
 use mwu_core::rng::keyed_uniform;
 use serde::{Deserialize, Serialize};
@@ -62,24 +62,18 @@ pub fn evaluate_composition(
         l.record_eval(cost_ms);
     }
 
-    let all_safe = muts
-        .iter()
-        .all(|m| m.is_safe(world.world_seed, world.safe_rate));
+    let safety = SafetyCheck::new(world.world_seed, world.safe_rate);
+    let all_safe = muts.iter().all(|m| safety.passes(m));
 
-    let ids: Vec<_> = muts.iter().map(|m| m.id()).collect();
     let survived = all_safe
         && world
             .interaction
-            .composition_survives(world.world_seed, &ids);
+            .survives(world.world_seed, muts.iter().map(|m| m.id().0));
 
     if !survived {
         // A broken program fails between 1 and ~30 % of the required tests;
         // the exact count is a fixed property of the composition.
-        let frac = keyed_uniform(&[
-            world.world_seed,
-            0xBAD_F17,
-            ids.iter().fold(0u64, |a, m| a ^ m.0.rotate_left(13)),
-        ]);
+        let frac = keyed_uniform(&[world.world_seed, 0xBAD_F17, composition_key(muts)]);
         let failed = 1 + (frac * 0.30 * suite.n_required() as f64) as u32;
         let fitness = suite.baseline_fitness().saturating_sub(failed);
         return ProbeOutcome {
@@ -90,9 +84,8 @@ pub fn evaluate_composition(
         };
     }
 
-    let repaired = muts
-        .iter()
-        .any(|m| m.is_repair(world.world_seed, world.defect_site, world.repair_rate));
+    let repair = RepairCheck::new(world.world_seed, world.defect_site, world.repair_rate);
+    let repaired = muts.iter().any(|m| repair.repairs(m));
 
     ProbeOutcome {
         survived: true,
@@ -104,6 +97,13 @@ pub fn evaluate_composition(
         },
         cost_ms,
     }
+}
+
+/// Order-free key of a composition: the XOR of its members' rotated ids.
+/// It keys every per-composition draw of a broken probe, here and in
+/// [`crate::prioritize`], so both agree on what a composition fails.
+pub(crate) fn composition_key(muts: &[Mutation]) -> u64 {
+    muts.iter().fold(0u64, |a, m| a ^ m.id().0.rotate_left(13))
 }
 
 #[cfg(test)]

@@ -19,10 +19,16 @@
 //!   `(1−q)^x` and the repair density `x·(1−q)^x` is exactly the paper's
 //!   fitted `a·x·e^(−bx)` form, peaking at `x* ≈ −1/ln(1−q)`.
 
-use mwu_core::rng::keyed_bernoulli;
+use mwu_core::rng::{bernoulli_hit, bernoulli_threshold, MixPrefix};
+use mwu_core::ThreadArena;
 use serde::{Deserialize, Serialize};
 
 use crate::mutation::MutationId;
+
+/// Keyed-hash stream tag of the pairwise conflict draws.
+const PAIR_TAG: u64 = 0xC0_4F11C7;
+/// Keyed-hash stream tag of the per-mutation decay draws.
+const DECAY_TAG: u64 = 0x000D_ECA1;
 
 /// How composed mutations interact.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -63,29 +69,42 @@ impl InteractionModel {
     /// model; deterministic per (world, mutation, cardinality-slot) under
     /// the decay model.
     pub fn composition_survives(&self, world_seed: u64, muts: &[MutationId]) -> bool {
+        self.survives(world_seed, muts.iter().map(|m| m.0))
+    }
+
+    /// [`Self::composition_survives`] over the ids of a composition, in
+    /// composition order.
+    ///
+    /// The pairwise verdict is "no pair conflicts", which does not depend
+    /// on the order the pairs are checked in. So the ids are sorted (in a
+    /// per-thread buffer) and each pair `(a, b)`, `a ≤ b`, extends the
+    /// prefix that already absorbed `[world_seed, tag, a]`: two
+    /// `splitmix64` calls per pair instead of five.
+    pub(crate) fn survives(&self, world_seed: u64, ids: impl Iterator<Item = u64>) -> bool {
         match *self {
             InteractionModel::PairwiseConflict { p } => {
-                for i in 0..muts.len() {
-                    for j in (i + 1)..muts.len() {
-                        let (a, b) = if muts[i].0 <= muts[j].0 {
-                            (muts[i].0, muts[j].0)
-                        } else {
-                            (muts[j].0, muts[i].0)
-                        };
-                        if keyed_bernoulli(p, &[world_seed, 0xC0_4F11C7, a, b]) {
-                            return false;
-                        }
-                    }
-                }
-                true
+                let threshold = bernoulli_threshold(p);
+                let base = MixPrefix::new().absorb(world_seed).absorb(PAIR_TAG);
+                let mut sorted: Vec<u64> = ThreadArena::with(|a| a.take());
+                sorted.extend(ids);
+                sorted.sort_unstable();
+                let survives = sorted.iter().enumerate().all(|(i, &a)| {
+                    let pa = base.absorb(a);
+                    sorted[i + 1..]
+                        .iter()
+                        .all(|&b| !bernoulli_hit(pa.absorb(b).finish(), threshold))
+                });
+                ThreadArena::with(|a| a.give(sorted));
+                survives
             }
             InteractionModel::PerMutationDecay { q } => {
                 // Every mutation after the first risks breaking the
                 // composition; keyed on the mutation so re-testing the same
                 // composition gives the same verdict.
-                muts.iter()
-                    .skip(1)
-                    .all(|m| !keyed_bernoulli(q, &[world_seed, 0x000D_ECA1, m.0]))
+                let threshold = bernoulli_threshold(q);
+                let base = MixPrefix::new().absorb(world_seed).absorb(DECAY_TAG);
+                ids.skip(1)
+                    .all(|id| !bernoulli_hit(base.absorb(id).finish(), threshold))
             }
         }
     }
@@ -231,6 +250,103 @@ mod tests {
         }
         for w in d[peak..].windows(2) {
             assert!(w[1] <= w[0] + 1e-12);
+        }
+    }
+
+    /// The survival rule as first written: five `splitmix64` calls per
+    /// pair through `keyed_bernoulli`, pairs in composition order.
+    fn reference_survives(model: &InteractionModel, world_seed: u64, muts: &[MutationId]) -> bool {
+        use mwu_core::rng::keyed_bernoulli;
+        match *model {
+            InteractionModel::PairwiseConflict { p } => {
+                for i in 0..muts.len() {
+                    for j in (i + 1)..muts.len() {
+                        let (a, b) = if muts[i].0 <= muts[j].0 {
+                            (muts[i].0, muts[j].0)
+                        } else {
+                            (muts[j].0, muts[i].0)
+                        };
+                        if keyed_bernoulli(p, &[world_seed, 0xC0_4F11C7, a, b]) {
+                            return false;
+                        }
+                    }
+                }
+                true
+            }
+            InteractionModel::PerMutationDecay { q } => muts
+                .iter()
+                .skip(1)
+                .all(|m| !keyed_bernoulli(q, &[world_seed, 0x000D_ECA1, m.0])),
+        }
+    }
+
+    /// Both models at every catalog optimum: the pairwise model with the
+    /// catalog's own `p = 1/x*²` and the decay model tuned to the same x*.
+    fn catalog_models() -> Vec<InteractionModel> {
+        crate::BugScenario::catalog_all()
+            .iter()
+            .flat_map(|s| {
+                let InteractionModel::PairwiseConflict { p } = s.world.interaction else {
+                    panic!("catalog scenarios use the pairwise model");
+                };
+                let x_star = (1.0 / p.sqrt()).round() as usize;
+                [
+                    s.world.interaction,
+                    InteractionModel::decay_with_optimum(x_star),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn catalog_thresholds_match_the_float_rule() {
+        use mwu_core::rng::{bernoulli_hit, bernoulli_threshold};
+        for model in catalog_models() {
+            let (InteractionModel::PairwiseConflict { p: prob }
+            | InteractionModel::PerMutationDecay { q: prob }) = model;
+            let t = bernoulli_threshold(prob);
+            for k in [t - 1, t, t + 1] {
+                let hash = k << 11;
+                let float = (k as f64 * (1.0 / (1u64 << 53) as f64)) < prob;
+                assert_eq!(bernoulli_hit(hash, t), float, "{model:?}");
+            }
+        }
+    }
+
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn survival_equals_the_five_hash_reference(
+                raw in prop::collection::vec(any::<u64>(), 0..513),
+                world in any::<u64>(),
+            ) {
+                let muts = ids(&raw);
+                for model in catalog_models() {
+                    prop_assert_eq!(
+                        model.composition_survives(world, &muts),
+                        reference_survives(&model, world, &muts)
+                    );
+                }
+            }
+
+            #[test]
+            fn survival_equals_the_reference_with_repeated_ids(
+                raw in prop::collection::vec(0u64..40, 0..64),
+                world in any::<u64>(),
+            ) {
+                let muts = ids(&raw);
+                for model in catalog_models() {
+                    prop_assert_eq!(
+                        model.composition_survives(world, &muts),
+                        reference_survives(&model, world, &muts)
+                    );
+                }
+            }
         }
     }
 }

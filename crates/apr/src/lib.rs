@@ -61,7 +61,7 @@ pub use interaction::InteractionModel;
 pub use ledger::CostLedger;
 pub use localize::{localize, Formula, Localization};
 pub use mutation::{MutOp, Mutation, MutationId};
-pub use pool::MutationPool;
+pub use pool::{MutationPool, SampleScratch};
 pub use prioritize::{evaluate_early_exit, TestOrder};
 pub use program::Program;
 pub use scenario::{BugScenario, ScenarioKind};

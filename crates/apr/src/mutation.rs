@@ -8,7 +8,7 @@
 //! draws can be keyed deterministically.
 
 use crate::program::Program;
-use mwu_core::rng::keyed_bernoulli;
+use mwu_core::rng::{bernoulli_hit, bernoulli_threshold, MixPrefix};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -94,14 +94,7 @@ impl Mutation {
     /// disruptive — constants chosen to keep the blended rate at
     /// `safe_rate`).
     pub fn is_safe(&self, world_seed: u64, safe_rate: f64) -> bool {
-        let op_factor = match self.op {
-            MutOp::Delete => 1.15,
-            MutOp::Insert => 1.00,
-            MutOp::Swap => 0.85,
-            MutOp::Replace => 1.00,
-        };
-        let p = (safe_rate * op_factor).clamp(0.0, 1.0);
-        keyed_bernoulli(p, &[world_seed, 0x5AFE, self.id().0])
+        SafetyCheck::new(world_seed, safe_rate).passes(self)
     }
 
     /// Is this safe mutation one that *repairs the defect* (passes the
@@ -115,16 +108,85 @@ impl Mutation {
     /// enumeration-ordered searches an outsized win (GenProg-style repairs
     /// are frequently far from the faulty statement).
     pub fn is_repair(&self, world_seed: u64, defect_site: usize, repair_rate: f64) -> bool {
-        let near = self.site.abs_diff(defect_site) <= 5;
-        let p = if near {
-            (repair_rate * 2.0).min(1.0)
-        } else {
-            repair_rate
-        };
+        RepairCheck::new(world_seed, defect_site, repair_rate).repairs(self)
+    }
+}
+
+/// [`Mutation::is_safe`] for one world, with the work shared by every
+/// mutation done once: the keyed-hash prefix `[world_seed, tag]` and the
+/// integer threshold of each operator's safety probability. A check then
+/// costs two `splitmix64` calls and an integer compare.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SafetyCheck {
+    prefix: MixPrefix,
+    /// Bernoulli threshold per operator, indexed by [`MutOp::tag`].
+    thresholds: [u64; 4],
+}
+
+impl SafetyCheck {
+    /// The safety draw of world `world_seed` at base rate `safe_rate`.
+    pub fn new(world_seed: u64, safe_rate: f64) -> Self {
+        // The operator factors of `Mutation::is_safe`.
+        let thresholds = MutOp::ALL.map(|op| {
+            let op_factor = match op {
+                MutOp::Delete => 1.15,
+                MutOp::Insert => 1.00,
+                MutOp::Swap => 0.85,
+                MutOp::Replace => 1.00,
+            };
+            bernoulli_threshold((safe_rate * op_factor).clamp(0.0, 1.0))
+        });
+        Self {
+            prefix: MixPrefix::new().absorb(world_seed).absorb(0x5AFE),
+            thresholds,
+        }
+    }
+
+    /// Is `m` individually safe in this world?
+    #[inline]
+    pub fn passes(&self, m: &Mutation) -> bool {
+        let hash = self.prefix.absorb(m.id().0).finish();
+        bernoulli_hit(hash, self.thresholds[m.op.tag() as usize])
+    }
+}
+
+/// [`Mutation::is_repair`] for one (world, defect), with the keyed-hash
+/// prefix `[world_seed, tag, defect_site]` and both thresholds (near and
+/// far from the defect) computed once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RepairCheck {
+    prefix: MixPrefix,
+    defect_site: usize,
+    near: u64,
+    far: u64,
+}
+
+impl RepairCheck {
+    /// The repair draw of defect `defect_site` in world `world_seed`.
+    pub fn new(world_seed: u64, defect_site: usize, repair_rate: f64) -> Self {
         // Keyed on the defect site as well: a repair fixes *this* bug, so
         // sibling bugs of the same program draw independent repair sets
         // over the shared safe-mutation space.
-        keyed_bernoulli(p, &[world_seed, 0xF1F0, defect_site as u64, self.id().0])
+        Self {
+            prefix: MixPrefix::new()
+                .absorb(world_seed)
+                .absorb(0xF1F0)
+                .absorb(defect_site as u64),
+            defect_site,
+            near: bernoulli_threshold((repair_rate * 2.0).min(1.0)),
+            far: bernoulli_threshold(repair_rate),
+        }
+    }
+
+    /// Does the (safe) mutation `m` repair this defect?
+    #[inline]
+    pub fn repairs(&self, m: &Mutation) -> bool {
+        let threshold = if m.site.abs_diff(self.defect_site) <= 5 {
+            self.near
+        } else {
+            self.far
+        };
+        bernoulli_hit(self.prefix.absorb(m.id().0).finish(), threshold)
     }
 }
 
@@ -132,6 +194,48 @@ impl Mutation {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// The safety and repair draws as first written, one `keyed_bernoulli`
+    /// per mutation with the float comparison.
+    fn reference_is_safe(m: &Mutation, world_seed: u64, safe_rate: f64) -> bool {
+        let op_factor = match m.op {
+            MutOp::Delete => 1.15,
+            MutOp::Insert => 1.00,
+            MutOp::Swap => 0.85,
+            MutOp::Replace => 1.00,
+        };
+        let p = (safe_rate * op_factor).clamp(0.0, 1.0);
+        mwu_core::rng::keyed_bernoulli(p, &[world_seed, 0x5AFE, m.id().0])
+    }
+
+    fn reference_is_repair(m: &Mutation, world_seed: u64, defect: usize, rate: f64) -> bool {
+        let p = if m.site.abs_diff(defect) <= 5 {
+            (rate * 2.0).min(1.0)
+        } else {
+            rate
+        };
+        mwu_core::rng::keyed_bernoulli(p, &[world_seed, 0xF1F0, defect as u64, m.id().0])
+    }
+
+    #[test]
+    fn hoisted_checks_equal_the_reference_draws() {
+        let p = program();
+        let sites: Vec<usize> = (0..p.len()).collect();
+        let mut rng = SmallRng::seed_from_u64(11);
+        for (world, rate) in [(1u64, 0.3), (42, 0.9), (7, 0.0), (9, 1.0)] {
+            for defect in [0usize, 150] {
+                for _ in 0..2_000 {
+                    let m = Mutation::random(&p, &sites, &mut rng);
+                    assert_eq!(m.is_safe(world, rate), reference_is_safe(&m, world, rate));
+                    let repair_rate = rate / 10.0;
+                    assert_eq!(
+                        m.is_repair(world, defect, repair_rate),
+                        reference_is_repair(&m, world, defect, repair_rate)
+                    );
+                }
+            }
+        }
+    }
 
     fn program() -> Program {
         Program::synthetic("p", 300, 42)

@@ -16,15 +16,30 @@
 
 use crate::evaluate::WorldParams;
 use crate::ledger::CostLedger;
-use crate::mutation::Mutation;
+use crate::mutation::{Mutation, SafetyCheck};
 use crate::program::Program;
 use crate::suite::TestSuite;
 use mwu_core::rng::keyed_bernoulli;
+use mwu_core::Scratch;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+
+/// Scratch of [`MutationPool::sample_composition_into`]: an identity
+/// permutation `0..m` that only grows. Sampling swaps x entries into place
+/// and restores them, so one buffer serves every pool size and a probe
+/// never refills O(pool) indices.
+#[derive(Debug, Default)]
+pub struct SampleScratch {
+    perm: Vec<usize>,
+}
+
+impl Scratch for SampleScratch {
+    /// A no-op: every sample leaves `perm` the identity again.
+    fn reset(&mut self) {}
+}
 
 /// A pool of individually-safe mutations for one program world.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -83,13 +98,14 @@ impl MutationPool {
             // run; the batch's critical path is a single run since all runs
             // are concurrent).
             let cost = suite.full_run_cost_ms();
+            let safety = SafetyCheck::new(world.world_seed, world.safe_rate);
             let verdicts: Vec<(Mutation, bool)> = candidates
                 .par_iter()
                 // Safety screening is a keyed hash: ~100ns/candidate. The
                 // hint sizes chunks for that cost and keeps sub-batch-sized
                 // jobs off the pool entirely.
                 .with_cost_hint(100)
-                .map(|&m| (m, m.is_safe(world.world_seed, world.safe_rate)))
+                .map(|&m| (m, safety.passes(&m)))
                 .collect();
             tested += verdicts.len() as u64;
             if let Some(l) = ledger {
@@ -145,40 +161,50 @@ impl MutationPool {
     /// # Panics
     /// Panics if `x > len()`.
     pub fn sample_composition(&self, x: usize, rng: &mut SmallRng) -> Vec<Mutation> {
-        let mut idx = Vec::new();
         let mut out = Vec::with_capacity(x);
-        self.sample_composition_into(x, rng, &mut idx, &mut out);
+        self.sample_composition_into(x, rng, &mut SampleScratch::default(), &mut out);
         out
     }
 
     /// [`Self::sample_composition`] writing into caller-owned scratch: the
-    /// index permutation goes into `idx` and the composition into `out`
-    /// (both cleared first). Draws the identical RNG sequence as the
-    /// allocating form, so a probe loop that reuses per-thread scratch (a
-    /// [`mwu_core::ThreadArena`] buffer) produces byte-identical
-    /// compositions. The O(pool) permutation buffer is the allocation this
-    /// removes from the per-probe hot path.
+    /// composition goes into `out` (cleared first). Draws the identical RNG
+    /// sequence as the allocating form, so a probe loop that reuses
+    /// per-thread scratch (a [`mwu_core::ThreadArena`] value) produces
+    /// byte-identical compositions in O(x) time, whatever the pool size.
     pub fn sample_composition_into(
         &self,
         x: usize,
         rng: &mut SmallRng,
-        idx: &mut Vec<usize>,
+        scratch: &mut SampleScratch,
         out: &mut Vec<Mutation>,
     ) {
-        assert!(
-            x <= self.mutations.len(),
-            "requested {x} mutations from a pool of {}",
-            self.mutations.len()
-        );
         let n = self.mutations.len();
-        idx.clear();
-        idx.extend(0..n);
-        for i in 0..x {
-            let j = rng.gen_range(i..n);
-            idx.swap(i, j);
+        assert!(x <= n, "requested {x} mutations from a pool of {n}");
+        let perm = &mut scratch.perm;
+        if perm.len() < n {
+            // The identity of length n extends the identity of any
+            // shorter length, so the buffer only ever grows.
+            let have = perm.len();
+            perm.extend(have..n);
         }
         out.clear();
-        out.extend(idx[..x].iter().map(|&i| self.mutations[i]));
+        for i in 0..x {
+            let j = rng.gen_range(i..n);
+            perm.swap(i, j);
+            out.push(self.mutations[perm[i]]);
+        }
+        // Restore the identity. Step i moved the value at position j ≥ x
+        // to a position below x, where it stayed, so every touched position
+        // at or past x is one of the chosen indices in `perm[..x]`.
+        for i in 0..x {
+            let v = perm[i];
+            if v >= x {
+                perm[v] = v;
+            }
+        }
+        for (i, slot) in perm[..x].iter_mut().enumerate() {
+            *slot = i;
+        }
     }
 
     /// Incremental pool update when the suite gains a test (paper §III-C):
@@ -327,5 +353,76 @@ mod tests {
         let evicted_second = pool.revalidate(&world, 55, 10, 0.2, None);
         assert_eq!(evicted_second, 0, "survivors of test 55 must stay safe");
         assert_eq!(pool.len(), after_first);
+    }
+
+    /// The sampler as first written: refill the whole `0..n` index buffer,
+    /// then partial Fisher–Yates.
+    fn reference_sample(pool: &MutationPool, x: usize, rng: &mut SmallRng) -> Vec<Mutation> {
+        let n = pool.len();
+        let mut idx: Vec<usize> = (0..n).collect();
+        for i in 0..x {
+            let j = rng.gen_range(i..n);
+            idx.swap(i, j);
+        }
+        idx[..x].iter().map(|&i| pool.mutations()[i]).collect()
+    }
+
+    fn distinct_pool(n: usize) -> MutationPool {
+        let op = crate::mutation::MutOp::Delete;
+        MutationPool::from_mutations(
+            (0..n)
+                .map(|site| Mutation {
+                    op,
+                    site,
+                    donor: site,
+                })
+                .collect(),
+        )
+    }
+
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn reused_identity_buffer_matches_refill_sampler(
+                seed in any::<u64>(),
+                xs in prop::collection::vec(0usize..513, 3..4),
+            ) {
+                let pools = [distinct_pool(30_000), distinct_pool(2_000), distinct_pool(30_000)];
+                let mut scratch = SampleScratch::default();
+                let mut out = Vec::new();
+                for (pool, &x) in pools.iter().zip(&xs) {
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    let mut twin = SmallRng::seed_from_u64(seed);
+                    pool.sample_composition_into(x, &mut rng, &mut scratch, &mut out);
+                    prop_assert_eq!(&out, &reference_sample(pool, x, &mut twin));
+                    // Same draws consumed: the streams stay in step.
+                    prop_assert_eq!(rng.gen::<u64>(), twin.gen::<u64>());
+                    prop_assert!(scratch.perm.iter().enumerate().all(|(i, &v)| i == v));
+                    prop_assert_eq!(scratch.perm.len(), 30_000);
+                }
+            }
+
+            #[test]
+            fn full_and_tiny_samples_match_refill_sampler(
+                seed in any::<u64>(),
+                n in 1usize..40,
+            ) {
+                let pool = distinct_pool(n);
+                let mut scratch = SampleScratch::default();
+                let mut out = Vec::new();
+                for x in [0, 1, n / 2, n] {
+                    let mut rng = SmallRng::seed_from_u64(seed ^ x as u64);
+                    let mut twin = rng.clone();
+                    pool.sample_composition_into(x, &mut rng, &mut scratch, &mut out);
+                    prop_assert_eq!(&out, &reference_sample(&pool, x, &mut twin));
+                    prop_assert!(scratch.perm.iter().enumerate().all(|(i, &v)| i == v));
+                }
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@
 //! composition (keyed draws), so verdicts and costs are deterministic and
 //! reproducible like everything else in the substrate.
 
-use crate::evaluate::{evaluate_composition, ProbeOutcome, WorldParams};
+use crate::evaluate::{composition_key, evaluate_composition, ProbeOutcome, WorldParams};
 use crate::ledger::CostLedger;
 use crate::mutation::Mutation;
 use crate::suite::TestSuite;
@@ -68,10 +68,6 @@ impl TestOrder {
 /// count [`crate::evaluate_composition`] reports.
 fn fails_test(world: &WorldParams, comp_key: u64, test_id: usize, fail_fraction: f64) -> bool {
     keyed_uniform(&[world.world_seed, 0xFA_11ED, comp_key, test_id as u64]) < fail_fraction
-}
-
-fn composition_key(muts: &[Mutation]) -> u64 {
-    muts.iter().fold(0u64, |a, m| a ^ m.id().0.rotate_left(13))
 }
 
 /// Evaluate `muts` with early exit under `order`.

@@ -22,9 +22,11 @@
 //!
 //! ## Ownership rules
 //!
-//! * `take_*` hands out a cleared/reset value; `give_*` returns it for the
-//!   next unit on this thread. Not returning a value is always safe — the
-//!   arena then simply allocates anew next time.
+//! * `take*` hands out a cleared/reset value; `give*` returns it for the
+//!   next unit on this thread. Any [`Scratch`] type can be pooled, so
+//!   downstream crates keep their own buffer types here too. Not
+//!   returning a value is always safe — the arena then simply allocates
+//!   anew next time.
 //! * Keep arena borrows short: `ThreadArena::with` takes the thread-local
 //!   `RefCell` mutably, so calls must not nest. Take scratch out, release
 //!   the borrow, do the work, then return it with a second `with`.
@@ -37,17 +39,30 @@ use crate::distributed::{DistributedConfig, DistributedMwu, Intractable};
 use crate::slate::{SlateConfig, SlateMwu};
 use crate::standard::{StandardConfig, StandardMwu};
 use crate::MwuAlgorithm;
+use std::any::{Any, TypeId};
 use std::cell::RefCell;
 
 /// Cached instances kept per algorithm variant. Grid sweeps interleave at
 /// most a handful of `(k, config)` shapes per thread.
 const MAX_CACHED_PER_VARIANT: usize = 4;
 
+/// A value a [`ThreadArena`] keeps between work units.
+pub trait Scratch: Default + 'static {
+    /// Return to the state a work unit may start from, keeping capacity.
+    fn reset(&mut self);
+}
+
+impl<T: 'static> Scratch for Vec<T> {
+    fn reset(&mut self) {
+        self.clear();
+    }
+}
+
 /// Bounded pools of reusable scratch owned by one thread.
 #[derive(Default)]
 pub struct ThreadArena {
-    usize_bufs: Vec<Vec<usize>>,
-    f64_bufs: Vec<Vec<f64>>,
+    /// One `Vec<T>` pool per [`Scratch`] type `T`, keyed by its `TypeId`.
+    scratch: Vec<(TypeId, Box<dyn Any>)>,
     standard: Vec<StandardMwu>,
     slate: Vec<SlateMwu>,
     distributed: Vec<DistributedMwu>,
@@ -71,32 +86,35 @@ impl ThreadArena {
         ARENA.with(|a| f(&mut a.borrow_mut()))
     }
 
-    /// A cleared `Vec<usize>`, reusing a returned buffer's capacity.
-    pub fn take_usize(&mut self) -> Vec<usize> {
-        let mut buf = self.usize_bufs.pop().unwrap_or_default();
-        buf.clear();
-        buf
+    /// A [reset](Scratch::reset) `T`, reusing a returned value's capacity
+    /// (a cleared `Vec`, for instance).
+    pub fn take<T: Scratch>(&mut self) -> T {
+        let mut value = self.pool::<T>().pop().unwrap_or_default();
+        value.reset();
+        value
     }
 
-    /// Return a `Vec<usize>` for reuse.
-    pub fn give_usize(&mut self, buf: Vec<usize>) {
-        if self.usize_bufs.len() < MAX_CACHED_PER_VARIANT {
-            self.usize_bufs.push(buf);
+    /// Return a `T` for reuse.
+    pub fn give<T: Scratch>(&mut self, value: T) {
+        let pool = self.pool::<T>();
+        if pool.len() < MAX_CACHED_PER_VARIANT {
+            pool.push(value);
         }
     }
 
-    /// A cleared `Vec<f64>`, reusing a returned buffer's capacity.
-    pub fn take_f64(&mut self) -> Vec<f64> {
-        let mut buf = self.f64_bufs.pop().unwrap_or_default();
-        buf.clear();
-        buf
-    }
-
-    /// Return a `Vec<f64>` for reuse.
-    pub fn give_f64(&mut self, buf: Vec<f64>) {
-        if self.f64_bufs.len() < MAX_CACHED_PER_VARIANT {
-            self.f64_bufs.push(buf);
-        }
+    fn pool<T: Scratch>(&mut self) -> &mut Vec<T> {
+        let id = TypeId::of::<T>();
+        let i = match self.scratch.iter().position(|(t, _)| *t == id) {
+            Some(i) => i,
+            None => {
+                self.scratch.push((id, Box::new(Vec::<T>::new())));
+                self.scratch.len() - 1
+            }
+        };
+        self.scratch[i]
+            .1
+            .downcast_mut()
+            .expect("scratch pools are keyed by their element type")
     }
 
     /// A [`StandardMwu`] over `k` arms under `config`: a cached instance
@@ -264,18 +282,18 @@ mod tests {
     #[test]
     fn buffers_keep_capacity_and_pools_stay_bounded() {
         let mut arena = ThreadArena::new();
-        let mut buf = arena.take_usize();
+        let mut buf: Vec<usize> = arena.take();
         buf.extend(0..1000);
         let cap = buf.capacity();
-        arena.give_usize(buf);
-        let again = arena.take_usize();
+        arena.give(buf);
+        let again: Vec<usize> = arena.take();
         assert!(again.is_empty());
         assert_eq!(again.capacity(), cap);
 
         for _ in 0..20 {
-            arena.give_f64(Vec::with_capacity(8));
+            arena.give(Vec::<f64>::with_capacity(8));
         }
-        assert!(arena.f64_bufs.len() <= MAX_CACHED_PER_VARIANT);
+        assert!(arena.pool::<Vec<f64>>().len() <= MAX_CACHED_PER_VARIANT);
     }
 
     #[test]

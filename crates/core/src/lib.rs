@@ -84,7 +84,7 @@ pub mod weights;
 pub const KERNEL_VERSION: &str = env!("CARGO_PKG_VERSION");
 
 pub use alternatives::{EpsilonGreedy, Exp3, HedgeConfig, HedgeMwu, Ucb1};
-pub use arena::ThreadArena;
+pub use arena::{Scratch, ThreadArena};
 pub use bandit::{Bandit, NoiseModel, ValueBandit};
 pub use convergence::{ConvergenceCriterion, ConvergenceState};
 pub use cost::{AsymptoticCosts, CostWeights, Variant, WeightedCostModel};

@@ -28,19 +28,53 @@ pub fn splitmix64(state: u64) -> u64 {
 /// `mix(&[experiment, scenario, replicate])` yields a seed that differs in
 /// ~50 % of bits when any single label changes.
 pub fn mix(labels: &[u64]) -> u64 {
-    let mut acc = 0x51_7C_C1_B7_27_22_0A_95u64;
-    for &l in labels {
-        acc = splitmix64(acc ^ l.rotate_left(17));
+    MixPrefix::new().absorb_all(labels).finish()
+}
+
+/// A [`mix`] fold that has already absorbed some leading labels.
+///
+/// `MixPrefix::new().absorb_all(&l[..k]).absorb_all(&l[k..]).finish()`
+/// equals `mix(&l)` for every split `k`. Draws that share leading labels
+/// (a world seed and a stream tag, say) absorb them once and pay one
+/// `splitmix64` per remaining label plus one to finish.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MixPrefix(u64);
+
+impl MixPrefix {
+    /// The empty prefix: nothing absorbed yet.
+    #[inline]
+    pub const fn new() -> Self {
+        MixPrefix(0x51_7C_C1_B7_27_22_0A_95)
     }
-    splitmix64(acc)
+
+    /// This prefix with `label` absorbed after the ones it holds.
+    #[inline]
+    pub fn absorb(self, label: u64) -> Self {
+        MixPrefix(splitmix64(self.0 ^ label.rotate_left(17)))
+    }
+
+    /// This prefix with every label of `labels` absorbed, in order.
+    #[inline]
+    pub fn absorb_all(self, labels: &[u64]) -> Self {
+        labels.iter().fold(self, |p, &l| p.absorb(l))
+    }
+
+    /// The [`mix`] of the absorbed labels.
+    #[inline]
+    pub fn finish(self) -> u64 {
+        splitmix64(self.0)
+    }
+}
+
+impl Default for MixPrefix {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Construct a [`SmallRng`] from a base seed and a list of stream labels.
 pub fn rng_for(seed: u64, labels: &[u64]) -> SmallRng {
-    let mut all = Vec::with_capacity(labels.len() + 1);
-    all.push(seed);
-    all.extend_from_slice(labels);
-    SmallRng::seed_from_u64(mix(&all))
+    SmallRng::seed_from_u64(MixPrefix::new().absorb(seed).absorb_all(labels).finish())
 }
 
 /// Deterministic Bernoulli draw keyed by arbitrary labels.
@@ -51,9 +85,29 @@ pub fn rng_for(seed: u64, labels: &[u64]) -> SmallRng {
 /// marginally Bernoulli(p) across mutations. The draw consumes no RNG state.
 pub fn keyed_bernoulli(p: f64, labels: &[u64]) -> bool {
     debug_assert!((0.0..=1.0).contains(&p));
-    // Map the mixed hash to [0, 1) with 53-bit precision.
-    let u = (mix(labels) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    u < p
+    bernoulli_hit(mix(labels), bernoulli_threshold(p))
+}
+
+/// Integer threshold of a Bernoulli(`p`) keyed draw: `ceil(p·2⁵³)`.
+///
+/// A keyed draw maps a hash `h` to the 53-bit uniform `u = (h >> 11)·2⁻⁵³`
+/// and hits when `u < p`. Scaling by 2⁵³ is exact, and an integer is below
+/// a real number exactly when it is below that number's ceiling, so
+/// [`bernoulli_hit`]`(h, bernoulli_threshold(p))` decides `u < p` for
+/// every hash, bit for bit. The saturating cast keeps the edge cases too:
+/// NaN and `p ≤ 0` give 0 (never hits), `p ≥ 1` gives at least 2⁵³
+/// (always hits). Compute it once per probability and reuse it across
+/// draws.
+#[inline]
+pub fn bernoulli_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Does the keyed hash `hash` hit a Bernoulli draw with the given
+/// [`bernoulli_threshold`]?
+#[inline]
+pub fn bernoulli_hit(hash: u64, threshold: u64) -> bool {
+    (hash >> 11) < threshold
 }
 
 /// Deterministic uniform draw in `[0, 1)` keyed by labels (no RNG state).
@@ -103,6 +157,39 @@ mod tests {
         assert!((rate - p).abs() < 0.02, "rate {rate} too far from {p}");
     }
 
+    /// The float rule `keyed_bernoulli` used before the integer threshold.
+    fn float_hit(hash: u64, p: f64) -> bool {
+        ((hash >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) < p
+    }
+
+    #[test]
+    fn integer_threshold_matches_float_rule() {
+        let subnormal = f64::from_bits(1);
+        assert!(subnormal > 0.0 && !subnormal.is_normal());
+        let two_pow_53 = (1u64 << 53) as f64;
+        // The catalog's own probabilities are checked in `apr-sim`.
+        for p in [0.0, 1.0, 1.0 / two_pow_53, 0.5, subnormal, 0.3, 0.3 * 1.15] {
+            let t = bernoulli_threshold(p);
+            // The hashes straddling the boundary, the extremes, and a spread
+            // of keyed hashes.
+            let mut hashes = vec![0, u64::MAX];
+            for k in [t.saturating_sub(1), t, t + 1] {
+                if k < (1u64 << 53) {
+                    hashes.push(k << 11);
+                    hashes.push((k << 11) | 0x7FF);
+                }
+            }
+            hashes.extend((0..2_000u64).map(|i| mix(&[i, p.to_bits()])));
+            for h in hashes {
+                assert_eq!(bernoulli_hit(h, t), float_hit(h, p), "p {p:e}, hash {h:#x}");
+            }
+        }
+        assert_eq!(bernoulli_threshold(0.0), 0);
+        assert_eq!(bernoulli_threshold(1.0), 1u64 << 53);
+        assert_eq!(bernoulli_threshold(1.0 / two_pow_53), 1);
+        assert_eq!(bernoulli_threshold(subnormal), 1);
+    }
+
     #[test]
     fn keyed_uniform_in_unit_interval_and_spread() {
         let mut lo = 0usize;
@@ -127,5 +214,35 @@ mod tests {
         let xb: u64 = b.gen();
         assert_eq!(xa1, xa2);
         assert_ne!(xa1, xb);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn mix_prefix_from_any_split_equals_mix(
+            labels in prop::collection::vec(any::<u64>(), 0..12),
+            split in 0usize..13,
+        ) {
+            let k = split.min(labels.len());
+            let (head, tail) = labels.split_at(k);
+            let prefix = MixPrefix::new().absorb_all(head);
+            prop_assert_eq!(prefix.absorb_all(tail).finish(), mix(&labels));
+            let one_by_one = tail.iter().fold(prefix, |p, &l| p.absorb(l));
+            prop_assert_eq!(one_by_one.finish(), mix(&labels));
+        }
+
+        #[test]
+        fn integer_threshold_matches_float_rule_for_any_p(
+            p in 0.0f64..1.0,
+            hash in any::<u64>(),
+        ) {
+            let float = ((hash >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) < p;
+            prop_assert_eq!(bernoulli_hit(hash, bernoulli_threshold(p)), float);
+        }
     }
 }

@@ -7,14 +7,19 @@
 //! allocations on the armed rounds, for every algorithm the round-kernel
 //! refactor covers.
 //!
+//! The MWRepair probe path gets the same audit: sample a composition
+//! into per-thread scratch, evaluate it, return the scratch.
+//!
 //! Everything runs inside a single `#[test]` because a global allocator is
 //! process-wide state: parallel test threads would alias the counter.
 
+use apr_sim::{BugScenario, Mutation, SampleScratch};
 use mwu_core::alternatives::{Exp3, HedgeConfig, HedgeMwu};
 use mwu_core::prelude::*;
 use mwu_core::slate::SlateSampling;
+use mwu_core::ThreadArena;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -99,6 +104,53 @@ fn audit(name: &str, alg: &mut dyn MwuAlgorithm, k: usize, warmup: usize, armed_
     );
 }
 
+/// One probe as the MWRepair driver runs it: arena scratch in, sample,
+/// evaluate, scratch back. Returns whether the probe repaired.
+fn probe(
+    scenario: &BugScenario,
+    pool: &apr_sim::MutationPool,
+    x: usize,
+    rng: &mut SmallRng,
+) -> bool {
+    let (mut scratch, mut comp) =
+        ThreadArena::with(|a| (a.take::<SampleScratch>(), a.take::<Vec<Mutation>>()));
+    pool.sample_composition_into(x, rng, &mut scratch, &mut comp);
+    let out = scenario.evaluate(&comp, None);
+    ThreadArena::with(|a| {
+        a.give(scratch);
+        a.give(comp);
+    });
+    out.repaired
+}
+
+/// Audit the probe path on a catalog scenario: after warmup at the largest
+/// composition size, probes of any size up to it allocate nothing.
+fn audit_probe_loop(name: &str, max_x: usize, armed_probes: usize) {
+    let scenario = BugScenario::by_name(name).expect("catalog scenario");
+    let pool = scenario.build_pool(1, None);
+    let max_x = max_x.min(pool.len());
+    let mut rng = SmallRng::seed_from_u64(3);
+    for x in [max_x, 1, max_x / 2, max_x] {
+        probe(&scenario, &pool, x, &mut rng);
+    }
+
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    let mut repaired = 0usize;
+    for _ in 0..armed_probes {
+        let x = rng.gen_range(1..=max_x);
+        repaired += usize::from(probe(&scenario, &pool, x, &mut rng));
+    }
+    ARMED.store(false, Ordering::SeqCst);
+
+    let count = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        count, 0,
+        "{name} probe loop: {count} heap allocations in {armed_probes} steady-state probes \
+         ({repaired} repaired)"
+    );
+}
+
 #[test]
 fn steady_state_rounds_allocate_nothing() {
     let k = 256;
@@ -126,4 +178,7 @@ fn steady_state_rounds_allocate_nothing() {
 
     let mut exp3 = Exp3::new(k, 0.05);
     audit("exp3", &mut exp3, k, 200, 100);
+
+    audit_probe_loop("libtiff-2005-12-14", 512, 2_000);
+    audit_probe_loop("gzip-2009-08-16", 512, 500);
 }
